@@ -4,7 +4,7 @@ GO ?= go
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test check ci lint bench bench-smoke bench-par race persistence-torture conflict-torture fmt-check obs-check metrics-doc soak slo-smoke
+.PHONY: build test check ci lint bench bench-smoke race persistence-torture fmt-check obs-check metrics-doc soak slo-smoke
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,6 @@ check:
 	$(GO) test -race ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/xtrace/...
 	$(GO) test -race -count 1 ./internal/upgrade/... ./internal/core/...
 	$(MAKE) persistence-torture
-	$(MAKE) conflict-torture
 	$(MAKE) obs-check
 
 # ci mirrors .github/workflows/ci.yml exactly, so the merge gate is
@@ -63,7 +62,8 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # metrics-doc fails if a registered metric family is missing from the
-# README's metrics reference table (rows: `go run ./cmd/metricsdoc -list`).
+# README's metrics reference table, or if the table lists a family that
+# is no longer registered (rows: `go run ./cmd/metricsdoc -list`).
 metrics-doc:
 	$(GO) run ./cmd/metricsdoc
 
@@ -80,19 +80,11 @@ persistence-torture:
 	$(GO) test -race ./internal/blockdb/... ./internal/docstore/...
 	$(GO) test -race -run 'Restart|Torture|Genesis|WAL' ./internal/chain/... ./internal/rpc/...
 
-# conflict-torture stresses the optimistic-parallel executor and the
-# pipelined seal under the race detector: adversarial all-conflicting
-# batches (nonce chains, shared storage slots), the serial-equivalence
-# property fuzz, and concurrent writers/readers over in-flight tails.
-conflict-torture:
-	$(GO) test -race -count 1 -run 'TestParallel|TestPipelined' ./internal/chain/
-
 race:
 	$(GO) test -race ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/xtrace/...
 
-# bench-host prints the parallelism the numbers were taken at — the §P6
-# scaling table is meaningless without it (benchmark name suffixes also
-# carry GOMAXPROCS, but only implicitly).
+# bench-host prints the parallelism the numbers were taken at (benchmark
+# name suffixes also carry GOMAXPROCS, but only implicitly).
 define BENCH_HOST
 echo "bench host: $$(nproc) cores, GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)} ($$(uname -s)/$$(uname -m))"
 endef
@@ -103,7 +95,6 @@ bench:
 	$(GO) test -run xxx -bench 'StateRoot|Copy_COW|EthCall' ./internal/state/ ./internal/chain/
 	$(GO) test -run xxx -bench Recovery -benchtime 3x ./internal/chain/
 	$(GO) test -run xxx -bench 'ParallelEthCall|ReadsDuringSeal' -benchtime 1s ./internal/chain/
-	$(GO) test -run xxx -bench 'MineBlockParallel|MineLoopPipelined' -benchtime 5x ./internal/chain/
 	$(GO) test -run xxx -bench MineLoopSubscribers -benchtime 20x ./internal/chain/
 
 # bench-smoke is the CI-sized benchmark run: one iteration of each
@@ -112,17 +103,7 @@ bench:
 # bench-smoke.txt (uploaded as a CI artifact).
 bench-smoke:
 	@{ $(BENCH_HOST); \
-	$(GO) test -run xxx -bench 'StateRoot|EthCall|Recovery|ParallelEthCall|ReadsDuringSeal|MineBlockParallel|MineLoopPipelined|MineLoopSubscribers' -benchtime 1x ./internal/state/ ./internal/chain/; } | tee bench-smoke.txt
-
-# bench-par is the EXPERIMENTS.md §P6 scaling table: the full
-# BenchmarkMineBlockParallel sweep (workers 1/2/4/8 at three conflict
-# rates, 3 repetitions for spread) on whatever parallelism the host
-# offers. CI runs it on the standard 4-vCPU runner — that run is what
-# makes the §P6 "re-measure on >=4 cores" numbers routine instead of a
-# one-off. Output lands in bench-par.txt (uploaded as a CI artifact).
-bench-par:
-	@{ $(BENCH_HOST); \
-	$(GO) test -run xxx -bench MineBlockParallel -benchtime 5x -count 3 -timeout 20m ./internal/chain/; } | tee bench-par.txt
+	$(GO) test -run xxx -bench 'StateRoot|EthCall|Recovery|ParallelEthCall|ReadsDuringSeal|MineLoopSubscribers' -benchtime 1x ./internal/state/ ./internal/chain/; } | tee bench-smoke.txt
 
 # soak is the bounded-memory gate for the disk-backed state store: it
 # grows the world to SOAK_ACCOUNTS accounts (default 100k; the paper

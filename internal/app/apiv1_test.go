@@ -7,11 +7,52 @@ import (
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
+	"legalchain/internal/obs"
 	"legalchain/internal/xtrace"
 )
+
+// apiRig registers a landlord+tenant, deploys and modifies a rental
+// through the service layer, and returns an authenticated browser.
+func apiRig(t *testing.T) (*browser, *App, string) {
+	t.Helper()
+	a := rig(t)
+	// Mirror production wiring: rentald serves the app behind
+	// obs.LogRequests, which assigns request IDs and opens root spans.
+	srv := httptest.NewServer(obs.LogRequests(nil, a.Handler()))
+	t.Cleanup(srv.Close)
+	landlord := newBrowser(t, srv)
+	landlord.register("api_landlord", "pw")
+	resp, body := landlord.post("/deploy", url.Values{
+		"artifact": {"BaseRental"}, "rent": {"1"}, "deposit": {"2"},
+		"months": {"12"}, "house": {"api-house"},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("deploy: %d %s", resp.StatusCode, body)
+	}
+	_, dash := landlord.get("/dashboard")
+	addr := extractAddr(t, dash)
+	return landlord, a, addr
+}
+
+func getJSON(t *testing.T, b *browser, path string, out interface{}) int {
+	t.Helper()
+	resp, err := b.c.Get(b.url + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if out != nil {
+		if err := json.Unmarshal(data, out); err != nil {
+			t.Fatalf("bad JSON from %s: %v (%s)", path, err, data)
+		}
+	}
+	return resp.StatusCode
+}
 
 // postJSON sends a JSON body through the browser's cookie-carrying
 // client and decodes the JSON reply.
@@ -49,7 +90,12 @@ func TestV1MeAndList(t *testing.T) {
 	if code := getJSON(t, b, "/api/v1/me", &me); code != 200 {
 		t.Fatalf("me: code %d", code)
 	}
-	if me["name"] != "api_landlord" || me["balanceWei"] == "" {
+	for _, field := range []string{"address", "balanceWei", "balanceEth"} {
+		if v, _ := me[field].(string); v == "" {
+			t.Fatalf("me.%s missing: %v", field, me)
+		}
+	}
+	if me["name"] != "api_landlord" {
 		t.Fatalf("me = %v", me)
 	}
 	// In-process backends pin a head view: the response names the chain

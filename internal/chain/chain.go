@@ -82,18 +82,7 @@ type Blockchain struct {
 	// pendingSet mirrors pending's hashes for O(1) duplicate checks.
 	pendingSet map[ethtypes.Hash]struct{}
 
-	// Pipelined sealing (seal.go): sealPipe is the newest not-yet-
-	// installed tail, inflight the transactions sealed into pending
-	// tails (duplicate admission guard until they reach bc.txs).
-	sealPipe  *sealTail
-	pipeDepth int
-	inflight  map[ethtypes.Hash]struct{}
-
-	// Execution configuration (executor.go / seal.go options).
-	execWorkers int
-	pipelined   bool
-
-	timeOffset uint64 // AdjustTime accumulates here
+	timeOffset uint64 // AdjustTime accumulates here; the next seal consumes it
 
 	// view is the immutable read path: republished by every seal,
 	// recovery and time adjustment.
@@ -132,14 +121,9 @@ type Blockchain struct {
 }
 
 // New creates a memory-only chain from the genesis. Use Open with
-// WithPersistence for a chain that survives restarts; execution options
-// (WithExecWorkers, WithPipelinedSeal) apply to both.
-func New(g *Genesis, opts ...Option) *Blockchain {
-	var cfg openConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return newMemory(g, &cfg)
+// WithPersistence for a chain that survives restarts.
+func New(g *Genesis) *Blockchain {
+	return newMemory(g)
 }
 
 // genesisState builds the pre-funded world state and the genesis block.
@@ -159,22 +143,18 @@ func genesisState(g *Genesis) (*state.StateDB, *ethtypes.Block) {
 	return st, &ethtypes.Block{Header: genesisHeader}
 }
 
-func newMemory(g *Genesis, cfg *openConfig) *Blockchain {
+func newMemory(g *Genesis) *Blockchain {
 	st, genesisBlock := genesisState(g)
 	bc := &Blockchain{
-		chainID:     g.ChainID,
-		gasLimit:    g.GasLimit,
-		coinbase:    g.Coinbase,
-		st:          st,
-		blocks:      []*ethtypes.Block{genesisBlock},
-		byHash:      (*pindex[uint64])(nil).with1(genesisBlock.Hash(), 0),
-		genesis:     copyGenesis(g),
-		inflight:    make(map[ethtypes.Hash]struct{}),
-		execWorkers: cfg.execWorkers,
-		pipelined:   cfg.pipelined,
-		hub:         newHub(),
+		chainID:  g.ChainID,
+		gasLimit: g.GasLimit,
+		coinbase: g.Coinbase,
+		st:       st,
+		blocks:   []*ethtypes.Block{genesisBlock},
+		byHash:   (*pindex[uint64])(nil).with1(genesisBlock.Hash(), 0),
+		genesis:  copyGenesis(g),
+		hub:      newHub(),
 	}
-	mExecWorkers.Set(int64(bc.execWorkerCount()))
 	bc.publishHeadLocked()
 	return bc
 }
@@ -256,19 +236,8 @@ func (bc *Blockchain) AdjustTime(seconds uint64) {
 	bc.publishHeadLocked()
 }
 
-// nextHeaderLocked prepares the header for the block being mined. When
-// a pipelined tail is pending, the parent is that tail's block; its
-// hash is not final yet, so ParentHash stays zero and the tail fills
-// it in (stage 1) before the block hash is computed.
+// nextHeaderLocked prepares the header for the block being mined.
 func (bc *Blockchain) nextHeaderLocked() *ethtypes.Header {
-	if t := bc.sealPipe; t != nil {
-		return &ethtypes.Header{
-			Number:   t.header.Number + 1,
-			Time:     t.header.Time + 1 + bc.timeOffset,
-			GasLimit: bc.gasLimit,
-			Coinbase: bc.coinbase,
-		}
-	}
 	parent := bc.blocks[len(bc.blocks)-1]
 	return &ethtypes.Header{
 		ParentHash: parent.Hash(),
@@ -289,25 +258,6 @@ type execEnv struct {
 	st           *state.StateDB
 	getBlockHash func(uint64) ethtypes.Hash
 	tracer       evm.Tracer
-
-	// coinbaseFee, when non-nil, diverts the coinbase's fee credit into
-	// the pointed-to accumulator instead of writing the balance. The
-	// optimistic executor uses this so the one write every transaction
-	// performs — paying the coinbase — does not serialise the batch; the
-	// commit sweep applies the fees as in-order deltas.
-	coinbaseFee *uint256.Int
-}
-
-// execEnvLocked builds the live execution environment for the sealing
-// paths. The BLOCKHASH lookup resolves against the writer-owned chain
-// (bc.mu is held; the published view would serve a stale height during
-// recovery replay) plus any pending pipelined tails.
-func (bc *Blockchain) execEnvLocked() *execEnv {
-	return &execEnv{
-		chainID:      bc.chainID,
-		st:           bc.st,
-		getBlockHash: bc.blockHashFnLocked(),
-	}
 }
 
 // SendTransaction validates, executes and instantly mines tx into a new
@@ -325,61 +275,37 @@ func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Trans
 	defer sp.End()
 	sealStart := time.Now()
 	bc.mu.Lock()
-	bc.waitPipelineSlotLocked()
+	defer bc.mu.Unlock()
 
 	hash := tx.Hash()
 	if _, known := bc.txs.get(hash); known {
-		bc.mu.Unlock()
-		return hash, ErrKnownTransaction
-	}
-	if _, pending := bc.inflight[hash]; pending {
-		bc.mu.Unlock()
 		return hash, ErrKnownTransaction
 	}
 	sender, err := tx.Sender(bc.chainID)
 	if err != nil {
-		bc.mu.Unlock()
 		return ethtypes.Hash{}, fmt.Errorf("chain: invalid signature: %w", err)
 	}
 	if tx.Gas > bc.gasLimit {
-		bc.mu.Unlock()
 		return ethtypes.Hash{}, ErrGasLimitExceeded
 	}
-	// bc.st already carries the writes of any pending pipelined tails,
-	// so this admits a sender's next nonce while earlier instant-seal
-	// blocks are still hashing/fsyncing — the pipelining win.
-	expected := bc.st.GetNonce(sender)
-	if tx.Nonce < expected {
-		bc.mu.Unlock()
-		return ethtypes.Hash{}, fmt.Errorf("%w: have %d, want %d", ErrNonceTooLow, tx.Nonce, expected)
-	}
-	if tx.Nonce > expected {
-		bc.mu.Unlock()
-		return ethtypes.Hash{}, fmt.Errorf("%w: have %d, want %d", ErrNonceTooHigh, tx.Nonce, expected)
+	if expected := bc.st.GetNonce(sender); tx.Nonce != expected {
+		return ethtypes.Hash{}, fmt.Errorf("%w: have %d, want %d", nonceErr(tx.Nonce, expected), tx.Nonce, expected)
 	}
 
 	// The transaction is admitted: let newPendingTransactions watchers
 	// know before it seals (O(1), never blocks).
 	bc.hub.enqueue(Event{TxHash: hash})
 
+	// A transaction that fails execution (insufficient funds, intrinsic
+	// gas) leaves the state untouched and seals nothing, so a pending
+	// AdjustTime offset survives for the next block.
 	header := bc.nextHeaderLocked()
-	bc.timeOffset = 0
-	receipt, err := bc.applyTransaction(ctx, header, tx, sender)
-	if err != nil {
+	included, receipts, failed := bc.executeLocked(ctx, header, []txMeta{{tx: tx, sender: sender}})
+	if err := failed[hash]; err != nil {
 		sp.SetError(err)
-		bc.mu.Unlock()
 		return ethtypes.Hash{}, err
 	}
-
-	// Seal the block: inline when pipelining is off, overlapped with
-	// the next admission when it is on.
-	header.GasUsed = receipt.GasUsed
-	header.TxRoot = ethtypes.TxRootOf([]*ethtypes.Transaction{tx})
-	t := bc.sealTailLocked(ctx, header, []*ethtypes.Transaction{tx}, []*ethtypes.Receipt{receipt}, sealStart)
-	bc.mu.Unlock()
-	// Join the tail so the documented contract holds: the receipt is
-	// queryable the moment SendTransaction returns.
-	<-t.done
+	bc.sealLocked(ctx, header, included, receipts, sealStart)
 	sp.SetAttr("block", fmt.Sprintf("%d", header.Number))
 	sp.SetAttr("tx", hash.Hex())
 	return hash, nil
@@ -387,7 +313,8 @@ func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Trans
 
 // applyTransaction executes tx against the live state under bc.mu.
 func (bc *Blockchain) applyTransaction(ctx context.Context, header *ethtypes.Header, tx *ethtypes.Transaction, sender ethtypes.Address) (*ethtypes.Receipt, error) {
-	return execTransaction(ctx, bc.execEnvLocked(), header, tx, sender)
+	env := &execEnv{chainID: bc.chainID, st: bc.st, getBlockHash: bc.blockHashLocked}
+	return execTransaction(ctx, env, header, tx, sender)
 }
 
 // execTransaction executes tx against env.st, following the yellow-paper
@@ -455,15 +382,9 @@ func execTransaction(ctx context.Context, env *execEnv, header *ethtypes.Header,
 	gasUsed -= refund
 	evmSp.SetAttr("gasUsed", fmt.Sprintf("%d", gasUsed))
 	evmSp.End()
-	// Return unused gas, pay the coinbase (or divert the fee for an
-	// in-order commit when the optimistic executor asks).
+	// Return unused gas, pay the coinbase.
 	env.st.AddBalance(sender, tx.GasPrice.Mul(uint256.NewUint64(tx.Gas-gasUsed)))
-	fee := tx.GasPrice.Mul(uint256.NewUint64(gasUsed))
-	if env.coinbaseFee != nil {
-		*env.coinbaseFee = env.coinbaseFee.Add(fee)
-	} else {
-		env.st.AddBalance(header.Coinbase, fee)
-	}
+	env.st.AddBalance(header.Coinbase, tx.GasPrice.Mul(uint256.NewUint64(gasUsed)))
 
 	status := ethtypes.ReceiptStatusSuccessful
 	reason := ""
@@ -481,26 +402,24 @@ func execTransaction(ctx context.Context, env *execEnv, header *ethtypes.Header,
 	if vmErr != nil {
 		logs = nil
 	}
-	for i, l := range logs {
+	for _, l := range logs {
 		l.BlockNumber = header.Number
 		l.TxHash = tx.Hash()
-		l.TxIndex = 0
-		l.Index = uint(i)
 	}
 	env.st.Finalise()
 
+	// Position fields (indexes, cumulative gas) are the caller's to
+	// stamp; see stampReceipt.
 	return &ethtypes.Receipt{
-		TxHash:            tx.Hash(),
-		TxIndex:           0,
-		BlockNumber:       header.Number,
-		From:              sender,
-		To:                tx.To,
-		ContractAddress:   contractAddr,
-		GasUsed:           gasUsed,
-		CumulativeGasUsed: gasUsed,
-		Status:            status,
-		Logs:              logs,
-		RevertReason:      reason,
+		TxHash:          tx.Hash(),
+		BlockNumber:     header.Number,
+		From:            sender,
+		To:              tx.To,
+		ContractAddress: contractAddr,
+		GasUsed:         gasUsed,
+		Status:          status,
+		Logs:            logs,
+		RevertReason:    reason,
 	}, nil
 }
 

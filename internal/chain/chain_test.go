@@ -19,11 +19,18 @@ func devChain(t *testing.T) (*Blockchain, []wallet.Account) {
 	return New(g), accs
 }
 
-// signedTx builds and signs a transaction from acc.
+// signedTx builds and signs a transaction from acc at its next nonce.
 func signedTx(t testing.TB, bc *Blockchain, acc wallet.Account, to *ethtypes.Address, value uint256.Int, data []byte, gas uint64) *ethtypes.Transaction {
 	t.Helper()
+	return rawTx(t, bc, acc, bc.GetNonce(acc.Address), to, value, data, gas)
+}
+
+// rawTx signs a transaction with an explicit nonce, for callers that
+// track nonces themselves (batches, deliberately invalid nonces).
+func rawTx(t testing.TB, bc *Blockchain, acc wallet.Account, nonce uint64, to *ethtypes.Address, value uint256.Int, data []byte, gas uint64) *ethtypes.Transaction {
+	t.Helper()
 	tx := &ethtypes.Transaction{
-		Nonce:    bc.GetNonce(acc.Address),
+		Nonce:    nonce,
 		GasPrice: ethtypes.Gwei(1),
 		Gas:      gas,
 		To:       to,
@@ -265,6 +272,38 @@ func TestAdjustTime(t *testing.T) {
 	}
 	if got := bc.Head().Header.Time; got != t0+3601 {
 		t.Fatalf("time = %d, want %d", got, t0+3601)
+	}
+}
+
+// TestAdjustTimeSurvivesRejectedTx pins that a pending AdjustTime offset
+// belongs to the next block that actually seals: a transaction rejected
+// at execution (insufficient funds) seals nothing and must not consume
+// it.
+func TestAdjustTimeSurvivesRejectedTx(t *testing.T) {
+	bc, accs := devChain(t)
+	t0 := bc.Head().Header.Time
+	bc.AdjustTime(3600)
+	poor := signedTx(t, bc, accs[0], &accs[1].Address, ethtypes.Ether(1000), nil, 21000)
+	if _, err := bc.SendTransaction(poor); !errors.Is(err, ErrInsufficientFunds) {
+		t.Fatalf("underfunded transfer: err = %v", err)
+	}
+	if bc.BlockNumber() != 0 {
+		t.Fatalf("rejected transaction sealed block %d", bc.BlockNumber())
+	}
+	tx := signedTx(t, bc, accs[0], &accs[1].Address, uint256.One, nil, 21000)
+	if _, err := bc.SendTransaction(tx); err != nil {
+		t.Fatal(err)
+	}
+	if got := bc.Head().Header.Time; got != t0+3601 {
+		t.Fatalf("time = %d, want %d", got, t0+3601)
+	}
+	// The offset is consumed once: the following block is parent+1.
+	tx = signedTx(t, bc, accs[0], &accs[1].Address, uint256.One, nil, 21000)
+	if _, err := bc.SendTransaction(tx); err != nil {
+		t.Fatal(err)
+	}
+	if got := bc.Head().Header.Time; got != t0+3602 {
+		t.Fatalf("time after consumed offset = %d, want %d", got, t0+3602)
 	}
 }
 

@@ -75,9 +75,7 @@ const DefaultMaxResidentAccounts = 4096
 type Option func(*openConfig)
 
 type openConfig struct {
-	persist     *PersistConfig
-	execWorkers int  // optimistic executor workers (0 = auto, 1 = serial)
-	pipelined   bool // overlap seal tails with the next block's execution
+	persist *PersistConfig
 }
 
 // WithPersistence makes the chain durable under cfg.DataDir.
@@ -115,7 +113,7 @@ func Open(g *Genesis, opts ...Option) (*Blockchain, error) {
 		o(&cfg)
 	}
 	if cfg.persist == nil {
-		return newMemory(g, &cfg), nil
+		return newMemory(g), nil
 	}
 	return openPersistent(g, &cfg)
 }
@@ -146,9 +144,6 @@ func (bc *Blockchain) Close() error {
 	bc.hub.close()
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
-	// Land every pipelined tail first: they hold references to bc.db,
-	// and the final snapshot must capture the fully-installed state.
-	bc.drainPipelineLocked()
 	if bc.db == nil {
 		return nil
 	}
@@ -185,7 +180,7 @@ func openPersistent(g *Genesis, cfg *openConfig) (*Blockchain, error) {
 		return nil, err
 	}
 
-	bc := newMemory(g, cfg)
+	bc := newMemory(g)
 	bc.db = db
 	bc.snapInterval = interval
 	bc.dataDir = p.DataDir
@@ -433,17 +428,7 @@ func (bc *Blockchain) rebuildTo(g *Genesis, recs []*blockdb.Record, limit int, r
 // the in-memory indexes without re-executing it.
 func (bc *Blockchain) installRecord(rec *blockdb.Record) {
 	block := rec.Block()
-	bc.blocks = append(bc.blocks, block)
-	bc.byHash = bc.byHash.with1(block.Hash(), block.Number())
-	newReceipts := make(map[ethtypes.Hash]*ethtypes.Receipt, len(rec.Receipts))
-	newTxs := make(map[ethtypes.Hash]*ethtypes.Transaction, len(rec.Txs))
-	for i, rcpt := range rec.Receipts {
-		newReceipts[rcpt.TxHash] = rcpt
-		newTxs[rec.Txs[i].Hash()] = rec.Txs[i]
-		bc.allLogs = append(bc.allLogs, rcpt.Logs...)
-	}
-	bc.receipts = bc.receipts.with(newReceipts)
-	bc.txs = bc.txs.with(newTxs)
+	bc.installBlockLocked(block, block.Hash(), rec.Txs, rec.Receipts)
 }
 
 // replayBlock re-executes one journaled block against the live state
@@ -469,13 +454,7 @@ func (bc *Blockchain) replayBlock(rec *blockdb.Record) (ok bool) {
 		if err != nil {
 			return false
 		}
-		rcpt.TxIndex = uint(i)
-		cumulative += rcpt.GasUsed
-		rcpt.CumulativeGasUsed = cumulative
-		for j, l := range rcpt.Logs {
-			l.TxIndex = rcpt.TxIndex
-			l.Index = uint(j)
-		}
+		cumulative = stampReceipt(rcpt, uint(i), cumulative)
 		receipts = append(receipts, rcpt)
 	}
 	if cumulative != header.GasUsed ||
@@ -484,22 +463,7 @@ func (bc *Blockchain) replayBlock(rec *blockdb.Record) (ok bool) {
 		return false
 	}
 	block := rec.Block()
-	blockHash := block.Hash()
-	bc.blocks = append(bc.blocks, block)
-	bc.byHash = bc.byHash.with1(blockHash, block.Number())
-	newReceipts := make(map[ethtypes.Hash]*ethtypes.Receipt, len(receipts))
-	newTxs := make(map[ethtypes.Hash]*ethtypes.Transaction, len(rec.Txs))
-	for i, rcpt := range receipts {
-		rcpt.BlockHash = blockHash
-		for _, l := range rcpt.Logs {
-			l.BlockHash = blockHash
-		}
-		newReceipts[rcpt.TxHash] = rcpt
-		newTxs[rec.Txs[i].Hash()] = rec.Txs[i]
-		bc.allLogs = append(bc.allLogs, rcpt.Logs...)
-	}
-	bc.receipts = bc.receipts.with(newReceipts)
-	bc.txs = bc.txs.with(newTxs)
+	bc.installBlockLocked(block, block.Hash(), rec.Txs, receipts)
 	return true
 }
 

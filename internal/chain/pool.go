@@ -15,8 +15,9 @@ import (
 // (SendTransaction), matching Ganache's automine. For workloads that
 // want realistic multi-transaction blocks — cumulative gas, transaction
 // indexes, shared timestamps — transactions can instead be queued with
-// SubmitTransaction and sealed together with MineBlock, which executes
-// the batch on the optimistic-parallel executor (executor.go).
+// SubmitTransaction and sealed together with MineBlock, which runs the
+// batch through the same execute loop and seal as SendTransaction
+// (seal.go).
 
 // SubmitTransaction validates tx statelessly and queues it for the next
 // MineBlock call. Nonce and balance are checked at mining time, in
@@ -29,9 +30,6 @@ func (bc *Blockchain) SubmitTransaction(tx *ethtypes.Transaction) (ethtypes.Hash
 		return hash, ErrKnownTransaction
 	}
 	if _, pending := bc.pendingSet[hash]; pending {
-		return hash, ErrKnownTransaction
-	}
-	if _, pending := bc.inflight[hash]; pending {
 		return hash, ErrKnownTransaction
 	}
 	if _, err := tx.Sender(bc.chainID); err != nil {
@@ -63,55 +61,34 @@ func (bc *Blockchain) PendingCount() int {
 // their error recorded in the returned map. Mining an empty pool
 // produces an empty block (useful to advance time).
 func (bc *Blockchain) MineBlock() (*ethtypes.Block, map[ethtypes.Hash]error) {
-	return bc.MineBlockAsync().Wait()
-}
-
-// MineBlockAsync executes and seals the pending batch, returning as
-// soon as execution finishes. On a pipelined chain the seal tail
-// (state root, fsync, view publication) completes in the background —
-// overlapping with the next batch's submission and execution — and
-// PendingBlock.Wait joins it. On a non-pipelined chain the block is
-// already fully sealed on return.
-func (bc *Blockchain) MineBlockAsync() *PendingBlock {
 	sealStart := time.Now()
 	bc.mu.Lock()
-	bc.waitPipelineSlotLocked()
+	defer bc.mu.Unlock()
 
 	txs := bc.pending
 	bc.pending = nil
 	bc.pendingSet = nil
 	mTxpoolPending.Set(0)
+	// Transactions whose signature does not recover are skipped.
+	metas := make([]txMeta, 0, len(txs))
+	for _, tx := range txs {
+		if sender, err := tx.Sender(bc.chainID); err == nil {
+			metas = append(metas, txMeta{tx: tx, sender: sender})
+		}
+	}
 	// Stable order: by sender then nonce; submission order breaks ties.
-	// Sender recovery fans out over the executor's worker pool — it is
-	// the dominant per-transaction admission cost.
-	metas := bc.recoverSenders(txs)
 	sort.SliceStable(metas, func(i, j int) bool {
 		if c := bytes.Compare(metas[i].sender[:], metas[j].sender[:]); c != 0 {
 			return c < 0
 		}
-		if metas[i].tx.Nonce != metas[j].tx.Nonce {
-			return metas[i].tx.Nonce < metas[j].tx.Nonce
-		}
-		return metas[i].idx < metas[j].idx
+		return metas[i].tx.Nonce < metas[j].tx.Nonce
 	})
 
+	ctx := context.Background()
 	header := bc.nextHeaderLocked()
-	bc.timeOffset = 0
-	included, receipts, failed, cumulative := bc.executeBatchLocked(context.Background(), header, metas)
-
-	header.GasUsed = cumulative
-	header.TxRoot = ethtypes.TxRootOf(included)
+	included, receipts, failed := bc.executeLocked(ctx, header, metas)
 	mTxsFailed.Add(uint64(len(failed)))
-	t := bc.sealTailLocked(context.Background(), header, included, receipts, sealStart)
-	bc.mu.Unlock()
-	return &PendingBlock{t: t, failed: failed}
-}
-
-func nonceErr(have, want uint64) error {
-	if have < want {
-		return ErrNonceTooLow
-	}
-	return ErrNonceTooHigh
+	return bc.sealLocked(ctx, header, included, receipts, sealStart), failed
 }
 
 // TraceCall executes a read-only message against the published head view

@@ -2,268 +2,103 @@ package chain
 
 import (
 	"context"
+	"fmt"
 	"time"
 
-	"legalchain/internal/blockdb"
 	"legalchain/internal/ethtypes"
-	"legalchain/internal/state"
-	"legalchain/internal/statestore"
 	"legalchain/internal/xtrace"
 )
 
-// Pipelined sealing. Once a block's transactions have executed and its
-// receipts are final, the remaining seal tail — state-root hashing,
-// receipt root, blockdb append+fsync, head-view publication — no longer
-// needs the live state: it runs on a copy-on-write Copy whose dirty set
-// was handed off (ResetDirt), while bc.mu is released and the next
-// block executes. Tails chain through three stages, each a closed
-// channel establishing happens-before:
-//
-//	rootReady  header complete, block hash final (parents resolve
-//	           BLOCKHASH and ParentHash against this without bc.mu)
-//	logDone    blockdb append (and any snapshot) finished, in log order
-//	done       indexes updated, head view published, receipts queryable
-//
-// Every stage waits for the previous block's same stage first, so log
-// order, install order and published heads all stay strictly
-// monotonic; a crash mid-pipeline leaves at most a verified prefix in
-// the log, which recovery already handles. The pipeline preserves the
-// exact serial semantics — the only observable change is that
-// MineBlockAsync returns before the tail lands, and Wait joins it.
-const maxPipelineDepth = 3
+// One seal path. Both SendTransaction (one block per transaction, the
+// paper's automine) and MineBlock (one block per queued batch) execute
+// their transactions through executeLocked and finish the block through
+// sealLocked, all under bc.mu: state root, receipt root, index install,
+// journal append, cold-data eviction, head-view publication. When either
+// returns, the block is durable (up to the journal's fsync policy) and
+// queryable.
 
-// sealTail carries one block through the pipelined seal stages.
-type sealTail struct {
-	bc   *Blockchain
-	ctx  context.Context
-	prev *sealTail // next-older pending tail (nil once installed)
-
-	// cp is the handed-off state: a Copy of bc.st taken at seal time,
-	// carrying the block's dirty set. The tail roots and freezes it,
-	// then it becomes the published head view's snapshot.
-	cp *state.StateDB
-
-	header   *ethtypes.Header
-	included []*ethtypes.Transaction
-	receipts []*ethtypes.Receipt
-
-	block      *ethtypes.Block
-	blockHash  ethtypes.Hash
-	persistErr error // inherited from older tails, latched into bc on install
-
-	sealStart time.Time
-	tailStart time.Time
-
-	rootReady chan struct{}
-	logDone   chan struct{}
-	done      chan struct{}
+// txMeta is one transaction with its recovered sender, the unit
+// executeLocked runs.
+type txMeta struct {
+	tx     *ethtypes.Transaction
+	sender ethtypes.Address
 }
 
-// PendingBlock is a block whose execution is complete but whose seal
-// tail may still be in flight. Wait blocks until the block is fully
-// installed (receipts and logs queryable, head view published).
-type PendingBlock struct {
-	t      *sealTail
-	failed map[ethtypes.Hash]error
-}
-
-// Wait joins the seal tail and returns the sealed block and the
-// dropped-transaction map.
-func (p *PendingBlock) Wait() (*ethtypes.Block, map[ethtypes.Hash]error) {
-	<-p.t.done
-	return p.t.block, p.failed
-}
-
-// sealTailLocked finishes a block whose transactions have executed:
-// synchronously inline when pipelining is off, or on a background tail
-// goroutine over a handed-off state copy when it is on. Called with
-// bc.mu held; the returned tail's done channel marks full installation.
-func (bc *Blockchain) sealTailLocked(ctx context.Context, header *ethtypes.Header, included []*ethtypes.Transaction, receipts []*ethtypes.Receipt, sealStart time.Time) *sealTail {
-	t := &sealTail{
-		bc:        bc,
-		ctx:       ctx,
-		header:    header,
-		included:  included,
-		receipts:  receipts,
-		sealStart: sealStart,
-		tailStart: time.Now(),
-		rootReady: make(chan struct{}),
-		logDone:   make(chan struct{}),
-		done:      make(chan struct{}),
-	}
-	if !bc.pipelined {
-		t.runSync()
-		return t
-	}
-	t.prev = bc.sealPipe
-	t.cp = bc.st.Copy()
-	bc.st.ResetDirt()
-	t.persistErr = bc.persistErr // a latched failure stops later appends too
-	for _, tx := range included {
-		bc.inflight[tx.Hash()] = struct{}{}
-	}
-	bc.sealPipe = t
-	bc.pipeDepth++
-	go t.run()
-	return t
-}
-
-// runSync is the non-pipelined tail: the original synchronous sequence,
-// executed inline under bc.mu on the live state.
-func (t *sealTail) runSync() {
-	bc := t.bc
-	rootStart := time.Now()
-	_, rootSp := xtrace.Start(t.ctx, "chain", "stateRoot")
-	t.header.StateRoot = bc.st.Root()
-	rootSp.End()
-	mStateRootSeconds.ObserveSince(rootStart)
-	t.header.ReceiptRoot = DeriveReceiptRoot(t.receipts)
-	t.block = &ethtypes.Block{Header: t.header, Transactions: t.included}
-	t.blockHash = t.block.Hash()
-	bc.installBlockLocked(t.block, t.blockHash, t.included, t.receipts)
-	bc.persistBlockLocked(t.ctx, t.block, t.receipts)
-	bc.evictColdLocked()
-	bc.publishHeadLocked()
-	t.observeSealMetrics()
-	close(t.rootReady)
-	close(t.logDone)
-	close(t.done)
-}
-
-// run is the pipelined tail. Each stage first joins the previous
-// block's same stage, keeping hash resolution, log order and install
-// order strictly monotonic.
-func (t *sealTail) run() {
-	bc := t.bc
-
-	// Stage 1: resolve the parent, sync the tries, hash the root.
-	if t.prev != nil {
-		<-t.prev.rootReady
-		t.header.ParentHash = t.prev.blockHash
-		// The parent tail synced its tries through its dirt; adopt them
-		// so this root only hashes this block's changes.
-		t.cp.AdoptTries(t.prev.cp)
-	}
-	rootStart := time.Now()
-	_, rootSp := xtrace.Start(t.ctx, "chain", "stateRoot")
-	t.header.StateRoot = t.cp.Root()
-	rootSp.End()
-	mStateRootSeconds.ObserveSince(rootStart)
-	t.cp.Freeze()
-	t.header.ReceiptRoot = DeriveReceiptRoot(t.receipts)
-	t.block = &ethtypes.Block{Header: t.header, Transactions: t.included}
-	t.blockHash = t.block.Hash()
-	for _, rcpt := range t.receipts {
-		rcpt.BlockHash = t.blockHash
-		for _, l := range rcpt.Logs {
-			l.BlockHash = t.blockHash
+// executeLocked runs metas in order against bc.st on top of header and
+// returns the included transactions, their stamped receipts and the
+// dropped-transaction map (bad nonce, insufficient funds, intrinsic gas).
+// A dropped transaction leaves the state untouched. Called with bc.mu
+// held.
+func (bc *Blockchain) executeLocked(ctx context.Context, header *ethtypes.Header, metas []txMeta) ([]*ethtypes.Transaction, []*ethtypes.Receipt, map[ethtypes.Hash]error) {
+	failed := map[ethtypes.Hash]error{}
+	var included []*ethtypes.Transaction
+	var receipts []*ethtypes.Receipt
+	var cumulative uint64
+	for _, m := range metas {
+		if expected := bc.st.GetNonce(m.sender); m.tx.Nonce != expected {
+			failed[m.tx.Hash()] = fmt.Errorf("%w: have %d, want %d", nonceErr(m.tx.Nonce, expected), m.tx.Nonce, expected)
+			continue
 		}
-	}
-	close(t.rootReady)
-
-	// Stage 2: journal append + fsync, strictly after the parent's so
-	// the log never holds a gap.
-	if t.prev != nil {
-		<-t.prev.logDone
-		if t.prev.persistErr != nil && t.persistErr == nil {
-			t.persistErr = t.prev.persistErr
-		}
-	}
-	t.persist()
-	close(t.logDone)
-
-	// Stage 3: install under bc.mu, after the parent is installed.
-	if t.prev != nil {
-		<-t.prev.done
-	}
-	bc.mu.Lock()
-	bc.installTailLocked(t)
-	bc.mu.Unlock()
-	t.observeSealMetrics()
-	mSealTailSeconds.ObserveSince(t.tailStart)
-	close(t.done)
-}
-
-// persist appends the block to the journal and writes interval
-// snapshots from the tail's own frozen copy. bc.db is stable here:
-// Close drains the pipeline before tearing it down.
-func (t *sealTail) persist() {
-	bc := t.bc
-	if bc.db == nil || t.persistErr != nil {
-		return
-	}
-	_, sp := xtrace.Start(t.ctx, "blockdb", "append")
-	err := bc.db.Append(&blockdb.Record{Header: t.block.Header, Txs: t.included, Receipts: t.receipts})
-	sp.SetError(err)
-	sp.End()
-	if err != nil {
-		t.persistErr = err
-		return
-	}
-	if bc.stateStore != nil {
-		// Commit the block's state batch under a fresh generation. The
-		// logDone chain serialises persist() across tails, so generations
-		// and commits land in block order; by the time this tail's view
-		// publishes (stage 3), read-through on its frozen copy sees a
-		// store that already contains the block's records.
-		_, commitSp := xtrace.Start(t.ctx, "statestore", "commit")
-		gen := bc.stateGen.Add(1) - 1
-		err := bc.stateStore.Commit(t.cp.TakePending(), statestore.Anchor{
-			Gen:       gen,
-			Number:    t.block.Number(),
-			BlockHash: t.blockHash,
-			Root:      t.header.StateRoot,
-		})
-		commitSp.SetError(err)
-		commitSp.End()
+		rcpt, err := bc.applyTransaction(ctx, header, m.tx, m.sender)
 		if err != nil {
-			t.persistErr = err
-		} else if _, err := bc.stateStore.MaybeCompact(); err != nil {
-			t.persistErr = err
+			failed[m.tx.Hash()] = err
+			continue
 		}
-		return
+		cumulative = stampReceipt(rcpt, uint(len(included)), cumulative)
+		included = append(included, m.tx)
+		receipts = append(receipts, rcpt)
 	}
-	if bc.snapInterval > 0 && t.block.Number()%bc.snapInterval == 0 {
-		_, snapSp := xtrace.Start(t.ctx, "blockdb", "snapshot")
-		snap := &blockdb.Snapshot{
-			Number:    t.block.Number(),
-			BlockHash: t.blockHash,
-			State:     t.cp.EncodeSnapshot(),
-		}
-		keep := bc.snapKeep
-		if keep <= 0 {
-			keep = blockdb.DefaultSnapshotsKept
-		}
-		if err := blockdb.WriteSnapshotKeep(bc.db.Dir(), snap, keep); err != nil {
-			t.persistErr = err
-		}
-		snapSp.End()
-	}
+	return included, receipts, failed
 }
 
-// installTailLocked lands a pipelined tail on the canonical chain:
-// indexes, persist-error latch, trie adoption into the live state, and
-// head-view publication reusing the tail's frozen copy.
-func (bc *Blockchain) installTailLocked(t *sealTail) {
-	bc.installBlockLocked(t.block, t.blockHash, t.included, t.receipts)
-	if t.persistErr != nil && bc.persistErr == nil {
-		bc.persistErr = t.persistErr
+func nonceErr(have, want uint64) error {
+	if have < want {
+		return ErrNonceTooLow
 	}
-	// Give the live state the tail's synced tries so its pending dirt
-	// (blocks executed since this seal) stays incremental.
-	bc.st.AdoptTries(t.cp)
-	for _, tx := range t.included {
-		delete(bc.inflight, tx.Hash())
+	return ErrNonceTooHigh
+}
+
+// stampReceipt gives rcpt its position in the block — transaction index,
+// cumulative gas, per-log indexes — and returns the new cumulative gas.
+// Sealing, recovery replay and historical tracing all stamp through it,
+// so a replayed receipt matches the sealed one field for field.
+func stampReceipt(rcpt *ethtypes.Receipt, index uint, cumulative uint64) uint64 {
+	rcpt.TxIndex = index
+	cumulative += rcpt.GasUsed
+	rcpt.CumulativeGasUsed = cumulative
+	for j, l := range rcpt.Logs {
+		l.TxIndex = index
+		l.Index = uint(j)
 	}
-	bc.pipeDepth--
-	if bc.sealPipe == t {
-		bc.sealPipe = nil
+	return cumulative
+}
+
+// sealLocked finishes a block whose transactions have executed on
+// bc.st: gas and commitments, state root, index install, journal
+// append, eviction and head-view publication. Sealing consumes any
+// AdjustTime offset the header was built with. Called with bc.mu held.
+func (bc *Blockchain) sealLocked(ctx context.Context, header *ethtypes.Header, included []*ethtypes.Transaction, receipts []*ethtypes.Receipt, sealStart time.Time) *ethtypes.Block {
+	if n := len(receipts); n > 0 {
+		header.GasUsed = receipts[n-1].CumulativeGasUsed
 	}
-	// Drop the chain reference under bc.mu: blockHashFnLocked walks
-	// prev links while holding the lock.
-	t.prev = nil
+	header.TxRoot = ethtypes.TxRootOf(included)
+	rootStart := time.Now()
+	_, rootSp := xtrace.Start(ctx, "chain", "stateRoot")
+	header.StateRoot = bc.st.Root()
+	rootSp.End()
+	mStateRootSeconds.ObserveSince(rootStart)
+	header.ReceiptRoot = DeriveReceiptRoot(receipts)
+	block := &ethtypes.Block{Header: header, Transactions: included}
+	bc.installBlockLocked(block, block.Hash(), included, receipts)
+	bc.persistBlockLocked(ctx, block, receipts)
 	bc.evictColdLocked()
-	bc.publishHeadFrozenLocked(t.cp)
+	bc.timeOffset = 0
+	bc.publishHeadLocked()
+	mSealSeconds.ObserveSince(sealStart)
+	mBlocksSealed.Inc()
+	mTxsExecuted.Add(uint64(len(included)))
+	mHeadBlock.Set(int64(header.Number))
+	return block
 }
 
 // evictColdLocked bounds resident memory after a block lands: clean
@@ -306,10 +141,9 @@ func (bc *Blockchain) evictColdLocked() {
 	}
 }
 
-// installBlockLocked appends a sealed block and its receipts to the
-// writer-owned indexes (shared by both seal paths and recovery-free;
-// receipts' BlockHash fields are stamped here for the sync path and
-// are already stamped for pipelined tails).
+// installBlockLocked appends a sealed (or replayed) block and its
+// receipts to the writer-owned indexes, stamping the block hash into
+// every receipt and log.
 func (bc *Blockchain) installBlockLocked(block *ethtypes.Block, blockHash ethtypes.Hash, included []*ethtypes.Transaction, receipts []*ethtypes.Receipt) {
 	newReceipts := make(map[ethtypes.Hash]*ethtypes.Receipt, len(receipts))
 	newTxs := make(map[ethtypes.Hash]*ethtypes.Transaction, len(included))
@@ -328,85 +162,18 @@ func (bc *Blockchain) installBlockLocked(block *ethtypes.Block, blockHash ethtyp
 	bc.byHash = bc.byHash.with1(blockHash, block.Number())
 }
 
-// observeSealMetrics records the per-seal instruments once the block
-// is fully installed.
-func (t *sealTail) observeSealMetrics() {
-	mSealSeconds.ObserveSince(t.sealStart)
-	mBlocksSealed.Inc()
-	mTxsExecuted.Add(uint64(len(t.included)))
-	mHeadBlock.Set(int64(t.header.Number))
-}
-
-// waitPipelineSlotLocked bounds the number of in-flight tails, blocking
-// (with bc.mu released) until the oldest lands when the pipeline is
-// full. Bounding depth bounds both memory (each tail pins a state
-// copy) and the worst-case recovery replay after a crash.
-func (bc *Blockchain) waitPipelineSlotLocked() {
-	for bc.pipeDepth >= maxPipelineDepth {
-		var oldest *sealTail
-		for t := bc.sealPipe; t != nil; t = t.prev {
-			oldest = t
-		}
-		bc.mu.Unlock()
-		<-oldest.done
-		bc.mu.Lock()
+// blockHashLocked is the BLOCKHASH source of live execution. It resolves
+// against the writer-owned chain (bc.mu is held; the published view
+// would serve a stale height during recovery replay); evicted blocks
+// read back through the block log.
+func (bc *Blockchain) blockHashLocked(n uint64) ethtypes.Hash {
+	if n >= bc.blocksBase && n-bc.blocksBase < uint64(len(bc.blocks)) {
+		return bc.blocks[n-bc.blocksBase].Hash()
 	}
-}
-
-// drainPipelineLocked joins every pending tail. Called (with bc.mu
-// held) before operations that need the fully-landed chain: Close,
-// final snapshots.
-func (bc *Blockchain) drainPipelineLocked() {
-	for bc.sealPipe != nil {
-		t := bc.sealPipe
-		bc.mu.Unlock()
-		<-t.done
-		bc.mu.Lock()
+	if n < bc.blocksBase && bc.db != nil {
+		if rec, err := bc.db.ReadRecord(n); err == nil {
+			return rec.Block().Hash()
+		}
 	}
-}
-
-// blockHashFnLocked captures a BLOCKHASH resolver valid outside bc.mu:
-// installed blocks resolve against the captured slice, pending tails
-// block on their rootReady stage (which never needs bc.mu, so workers
-// holding nothing can wait while the sealing path holds the lock).
-func (bc *Blockchain) blockHashFnLocked() func(uint64) ethtypes.Hash {
-	blocks := bc.blocks
-	base := bc.blocksBase
-	db := bc.db
-	var tails map[uint64]*sealTail
-	for t := bc.sealPipe; t != nil; t = t.prev {
-		if tails == nil {
-			tails = make(map[uint64]*sealTail, bc.pipeDepth)
-		}
-		tails[t.header.Number] = t
-	}
-	return func(n uint64) ethtypes.Hash {
-		if t, ok := tails[n]; ok {
-			<-t.rootReady
-			return t.blockHash
-		}
-		if n >= base && n-base < uint64(len(blocks)) {
-			return blocks[n-base].Hash()
-		}
-		if n < base && db != nil {
-			// Evicted to the block log; reads are lock-free (pread).
-			if rec, err := db.ReadRecord(n); err == nil {
-				return rec.Block().Hash()
-			}
-		}
-		return ethtypes.Hash{}
-	}
-}
-
-// WithExecWorkers sets the optimistic executor's worker count: 0 picks
-// min(GOMAXPROCS, 8) automatically, 1 forces the serial loop.
-func WithExecWorkers(n int) Option {
-	return func(o *openConfig) { o.execWorkers = n }
-}
-
-// WithPipelinedSeal overlaps each block's seal tail (state-root
-// hashing, journal fsync, view publication) with the execution of the
-// next block.
-func WithPipelinedSeal() Option {
-	return func(o *openConfig) { o.pipelined = true }
+	return ethtypes.Hash{}
 }

@@ -237,13 +237,9 @@ func replayBlockOn(ctx context.Context, chainID uint64, st *state.StateDB, view 
 		if err != nil {
 			return nil, fmt.Errorf("%w: block %d tx %d: %v", ErrTraceDiverged, header.Number, i, err)
 		}
-		rcpt.TxIndex = uint(i)
-		cumulative += rcpt.GasUsed
-		rcpt.CumulativeGasUsed = cumulative
+		cumulative = stampReceipt(rcpt, uint(i), cumulative)
 		rcpt.BlockHash = block.Hash()
-		for j, l := range rcpt.Logs {
-			l.TxIndex = rcpt.TxIndex
-			l.Index = uint(j)
+		for _, l := range rcpt.Logs {
 			l.BlockHash = rcpt.BlockHash
 		}
 		receipts = append(receipts, rcpt)

@@ -450,9 +450,9 @@ func (bc *Blockchain) View() *HeadView {
 }
 
 // publishHeadLocked freezes the current state and atomically publishes
-// a new immutable head view. Called with bc.mu held by every sealing
-// path, at construction/recovery, and on time adjustment. Republishing
-// the same head (AdjustTime) reuses the previous frozen snapshot.
+// a new immutable head view. Called with bc.mu held by the seal, at
+// construction/recovery, and on time adjustment. Republishing the same
+// head (AdjustTime) reuses the previous frozen snapshot.
 func (bc *Blockchain) publishHeadLocked() {
 	head := bc.blocks[len(bc.blocks)-1]
 	var frozen *state.StateDB
@@ -462,15 +462,6 @@ func (bc *Blockchain) publishHeadLocked() {
 		frozen = bc.st.Copy()
 		frozen.Freeze()
 	}
-	bc.publishHeadFrozenLocked(frozen)
-}
-
-// publishHeadFrozenLocked publishes a view over an already-frozen state
-// snapshot. The pipelined seal path calls it directly: the tail's
-// handed-off copy is frozen after rooting and doubles as the view's
-// snapshot, so installation costs no extra whole-state Copy.
-func (bc *Blockchain) publishHeadFrozenLocked(frozen *state.StateDB) {
-	head := bc.blocks[len(bc.blocks)-1]
 	now := time.Now()
 	v := &HeadView{
 		chainID:    bc.chainID,

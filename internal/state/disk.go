@@ -31,8 +31,8 @@ import (
 //   - o.storageRoot is the account's committed storage root — the lazy
 //     trie's anchor and the fallback when no fresher root is cached.
 //   - SetState materialises the committed value before the first write
-//     to a slot so journaling, origin tracking and diff extraction see
-//     the true previous value.
+//     to a slot so journaling and origin tracking see the true previous
+//     value.
 //   - reads on a *frozen* disk state never cache: they return transient
 //     objects so published head views stay immutable and lock-free.
 //     The store's LRU absorbs the re-reads.
@@ -231,9 +231,7 @@ func (s *StateDB) TakePending() *statestore.Batch {
 // storage tries) down to keepResident, then unloads the tries so
 // everything evicted reads back through the store's cache. Only safe
 // between transactions with the pending batch committed; accounts with
-// uncommitted dirt are skipped, so eviction composes with pipelined
-// sealing (the live state may be mid-block for *other* accounts).
-// Returns the number of accounts evicted.
+// uncommitted dirt are skipped. Returns the number of accounts evicted.
 func (s *StateDB) EvictCold(keepResident int) int {
 	if s.disk == nil || s.frozen || len(s.journal) > 0 {
 		return 0
